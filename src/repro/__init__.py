@@ -85,7 +85,7 @@ from .api import (
     run_traced,
 )
 
-__version__ = "1.9.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "analysis",

@@ -30,9 +30,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .. import kernels
 from ..geometry.balls import BallSystem
 from ..pvm.machine import Machine
-from .neighborhood import merge_neighbor_lists
 from .partition_tree import PartitionNode
 from .query import NeighborhoodQueryStructure, QueryConfig
 
@@ -153,35 +153,12 @@ def apply_candidate_pairs(
     ``owner_ids[r]`` is the global point owning ball row ``r``.  For each
     owner with candidates, its list is re-taken as the k best of (current
     list ∪ candidates).  Self-pairs are ignored.  Returns the number of
-    owners whose lists changed.
+    owners whose lists changed.  The owner-row gather in front of
+    :func:`apply_candidate_pairs_batch`.
     """
-    if ball_rows.shape[0] == 0:
-        return 0
-    owners = owner_ids[ball_rows]
-    keep = owners != point_ids
-    owners, cands = owners[keep], point_ids[keep]
-    if owners.shape[0] == 0:
-        return 0
-    diff = points[owners].astype(np.float64, copy=False) - points[cands].astype(
-        np.float64, copy=False
+    return apply_candidate_pairs_batch(
+        points, nbr_idx, nbr_sq, owner_ids[ball_rows], point_ids, k
     )
-    cand_sq = np.einsum("ij,ij->i", diff, diff)
-    order = np.argsort(owners, kind="stable")
-    owners, cands, cand_sq = owners[order], cands[order], cand_sq[order]
-    boundaries = np.flatnonzero(np.concatenate(([True], owners[1:] != owners[:-1])))
-    boundaries = np.append(boundaries, owners.shape[0])
-    changed = 0
-    for b in range(boundaries.shape[0] - 1):
-        lo, hi = boundaries[b], boundaries[b + 1]
-        g = owners[lo]
-        new_idx, new_sq = merge_neighbor_lists(
-            nbr_idx[g], nbr_sq[g], cands[lo:hi], cand_sq[lo:hi], k
-        )
-        if not np.array_equal(new_idx, nbr_idx[g]) or not np.array_equal(new_sq, nbr_sq[g]):
-            changed += 1
-        nbr_idx[g] = new_idx
-        nbr_sq[g] = new_sq
-    return changed
 
 
 def apply_candidate_pairs_batch(
@@ -192,19 +169,18 @@ def apply_candidate_pairs_batch(
     cands: np.ndarray,
     k: int,
 ) -> int:
-    """Fully vectorised :func:`apply_candidate_pairs` over global pairs.
+    """Merge global (owner, candidate) pairs into the neighbor lists.
 
     ``owners[i]`` is the global point whose list candidate ``cands[i]``
     may enter.  Per owner the result is bitwise identical to
-    :func:`merge_neighbor_lists` (dedupe by id keeping the smallest
-    distance, order by (distance, id), take the k best, pad with
-    ``-1``/``inf``) — no distance is ever recomputed differently, only
-    copied — so the frontier engine can defer every correction of one tree
-    level (whose owners are disjoint across same-level nodes) into a
-    single call.  Returns the number of owners whose lists changed.
+    :func:`~repro.core.neighborhood.merge_neighbor_lists` (dedupe by id
+    keeping the smallest distance, order by (distance, id), take the k
+    best, pad with ``-1``/``inf``): the current lists and the candidates
+    form one flat pool that :func:`repro.kernels.merge_candidate_stream`
+    merges in a single pass.  Disjoint owner sets may therefore be
+    deferred into one call — the frontier engine flushes a whole tree
+    level at once.  Returns the number of owners whose lists changed.
     """
-    if owners.shape[0] == 0:
-        return 0
     keep = owners != cands
     owners, cands = owners[keep], cands[keep]
     if owners.shape[0] == 0:
@@ -213,42 +189,17 @@ def apply_candidate_pairs_batch(
         np.float64, copy=False
     )
     cand_sq = np.einsum("ij,ij->i", diff, diff)
-    uniq_owners = np.unique(owners)
+    uniq_owners, cand_rows = np.unique(owners, return_inverse=True)
     t = uniq_owners.shape[0]
     cur_idx = nbr_idx[uniq_owners]
     cur_sq = nbr_sq[uniq_owners]
-    # one flat pool of (owner-row, candidate id, squared distance) holding
-    # both the current lists and the new candidates
-    pool_rows = np.concatenate(
-        [np.repeat(np.arange(t), k), np.searchsorted(uniq_owners, owners)]
+    new_idx, new_sq = kernels.merge_candidate_stream(
+        np.concatenate([np.repeat(np.arange(t, dtype=np.int64), k), cand_rows]),
+        np.concatenate([cur_idx.ravel(), cands]),
+        np.concatenate([cur_sq.ravel(), cand_sq]),
+        t,
+        k,
     )
-    pool_ids = np.concatenate([cur_idx.ravel(), cands])
-    pool_sq = np.concatenate([cur_sq.ravel(), cand_sq])
-    real = pool_ids >= 0
-    pool_rows, pool_ids, pool_sq = pool_rows[real], pool_ids[real], pool_sq[real]
-    # collapse duplicate (owner, id) entries to their smallest distance
-    order = np.lexsort((pool_sq, pool_ids, pool_rows))
-    pool_rows, pool_ids, pool_sq = pool_rows[order], pool_ids[order], pool_sq[order]
-    first = np.concatenate(
-        ([True], (pool_rows[1:] != pool_rows[:-1]) | (pool_ids[1:] != pool_ids[:-1]))
-    )
-    pool_rows, pool_ids, pool_sq = pool_rows[first], pool_ids[first], pool_sq[first]
-    # order survivors by (distance, id) within each owner, keep the k best
-    order = np.lexsort((pool_ids, pool_sq, pool_rows))
-    pool_rows, pool_ids, pool_sq = pool_rows[order], pool_ids[order], pool_sq[order]
-    starts = np.searchsorted(pool_rows, np.arange(t))
-    rank = np.arange(pool_rows.shape[0]) - starts[pool_rows]
-    keep = rank < k
-    pool_rows, pool_ids, pool_sq, rank = (
-        pool_rows[keep],
-        pool_ids[keep],
-        pool_sq[keep],
-        rank[keep],
-    )
-    new_idx = np.full((t, k), -1, dtype=np.int64)
-    new_sq = np.full((t, k), np.inf)
-    new_idx[pool_rows, rank] = pool_ids
-    new_sq[pool_rows, rank] = pool_sq
     changed = int(
         np.count_nonzero(
             np.any(new_idx != cur_idx, axis=1) | np.any(new_sq != cur_sq, axis=1)

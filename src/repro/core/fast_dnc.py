@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from ..obs.metrics import MetricsView
 from ..pvm.cost import Cost
 from ..pvm.machine import Machine
 from ..separators.quality import default_delta
-from ..separators.unit_time import SeparatorFailure, find_good_separator
+from ..separators.unit_time import SeparatorFailure, find_good_separator_side
 from ..util.recursion import estimated_tree_levels, recursion_guard
 from ..util.rng import path_rng, seed_sequence_root
 from .config import CommonConfig, supports_renamed_fields
@@ -268,7 +268,7 @@ class _Runner:
         sub = self.points[ids]
         try:
             with self.machine.section("divide"):
-                separator, attempts = find_good_separator(
+                separator, attempts, side = find_good_separator_side(
                     sub,
                     self.machine,
                     seed=rng,
@@ -287,7 +287,6 @@ class _Runner:
                 span.attrs["punted"] = True
             self.brute_force(ids)
             return PartitionNode(indices=ids)
-        side = separator.side_of_points(sub)
         self.machine.charge(self.machine.ewise_cost(m, 2.0))
         self.machine.charge(self.machine.scan_cost(m).then(self.machine.permute_cost(m)))
         in_ids = ids[side < 0]
@@ -302,7 +301,7 @@ class _Runner:
             indices=ids, separator=separator, left=children[0], right=children[1]
         )
         with self.machine.section("correct"):
-            self.correct(node, in_ids, ex_ids, rng)
+            self.correct(node, in_ids, ex_ids, lambda: rng)
         if span is not None:
             span.attrs["iota"] = node.meta.get("iota", 0)
             span.attrs["punted"] = node.meta.get("punted", False)
@@ -315,9 +314,14 @@ class _Runner:
         node: PartitionNode,
         in_ids: np.ndarray,
         ex_ids: np.ndarray,
-        rng: np.random.Generator,
+        punt_rng: Callable[[], np.random.Generator],
     ) -> None:
-        """Fix straddling balls of both sides (Correction of Section 6.1)."""
+        """Fix straddling balls of both sides (Correction of Section 6.1).
+
+        ``punt_rng()`` supplies the punt path's generator; it is called
+        only when a punt runs, and must return the same generator on
+        every call within one node.
+        """
         sep = node.separator
         assert sep is not None
         m = node.size
@@ -340,11 +344,11 @@ class _Runner:
         if iota >= self.config.iota_budget(m, d, self.k):
             self.stats.punts_iota += 1
             node.meta["punted"] = True
-            self._query_correct(straddle_in, ex_ids, rng)
-            self._query_correct(straddle_ex, in_ids, rng)
+            self._query_correct(straddle_in, ex_ids, punt_rng)
+            self._query_correct(straddle_ex, in_ids, punt_rng)
             return
-        ok_a = self._fast_correct(node, straddle_in, node.right, m, rng)
-        ok_b = self._fast_correct(node, straddle_ex, node.left, m, rng)
+        ok_a = self._fast_correct(node, straddle_in, node.right, m, punt_rng)
+        ok_b = self._fast_correct(node, straddle_ex, node.left, m, punt_rng)
         if ok_a and ok_b:
             self.stats.corrections_fast += 1
         else:
@@ -356,7 +360,7 @@ class _Runner:
         straddlers: np.ndarray,
         opposite_tree: Optional[PartitionNode],
         m: int,
-        rng: np.random.Generator,
+        punt_rng: Callable[[], np.random.Generator],
     ) -> bool:
         """Fast Correction of Section 6.2; returns False when it punted."""
         if straddlers.shape[0] == 0 or opposite_tree is None:
@@ -376,7 +380,7 @@ class _Runner:
             if not result.succeeded:
                 self.stats.punts_marching += 1
                 opposite_ids = opposite_tree.indices
-                self._query_correct(straddlers, opposite_ids, rng)
+                self._query_correct(straddlers, opposite_ids, punt_rng)
                 return False
             # constant-depth charge for the label-and-scan phases (Lemma 6.3),
             # plus the k-selection step (O(log log k) for k > 1, Section 6.2)
@@ -395,7 +399,10 @@ class _Runner:
         return True
 
     def _query_correct(
-        self, straddlers: np.ndarray, opposite_ids: np.ndarray, rng: np.random.Generator
+        self,
+        straddlers: np.ndarray,
+        opposite_ids: np.ndarray,
+        punt_rng: Callable[[], np.random.Generator],
     ) -> None:
         """Punt path: query-structure correction (Parallel Neighborhood
         Querying of Section 3.3), O(log m) depth."""
@@ -414,7 +421,7 @@ class _Runner:
                 self.points[opposite_ids],
                 opposite_ids,
                 self.machine,
-                rng,
+                punt_rng(),
                 self.config.query,
             )
             select_depth = 1.0 if self.k == 1 else 1.0 + math.log2(math.log2(self.k) + 2.0)

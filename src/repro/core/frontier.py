@@ -60,13 +60,9 @@ from ..geometry.balls import BallSystem
 from ..geometry.spheres import Sphere
 from ..pvm.cost import Cost, ZERO
 from ..pvm.machine import Machine
-from ..separators.batch import (
-    batched_side_of_points,
-    prepare_samplers,
-    side_split_is_good,
-)
+from ..separators.batch import batched_side_of_points, prepare_samplers
 from ..separators.hyperplane import _SELECTION_ROUNDS, median_hyperplane
-from ..separators.quality import default_delta
+from ..separators.quality import default_delta, side_split_is_good
 from ..separators.unit_time import _ATTEMPT_SERIAL_COST
 from ..util.rng import path_rng
 from .correction import (

@@ -44,6 +44,7 @@ from older versions therefore stay valid and untouched forever.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -56,7 +57,7 @@ from ..obs.metrics import Metrics, MetricsView
 from ..pvm.cost import Cost, ZERO
 from ..pvm.machine import Machine
 from ..separators.mttv import MTTVSeparatorSampler
-from ..separators.quality import default_delta, is_good_point_split
+from ..separators.quality import default_delta, side_split_is_good
 from ..separators.unit_time import _ATTEMPT_SERIAL_COST, SeparatorFailure
 from ..util.recursion import estimated_tree_levels, recursion_guard
 from ..util.rng import seed_sequence_root
@@ -228,6 +229,7 @@ class _OnlineRunner(_Runner):
         super().__init__(points, k, machine, root_ss, config, stats, nbr_idx, nbr_sq, base)
         self.keys = keys
         self.salt = int(salt)
+        self._round_keys: Dict[int, np.ndarray] = {}
         self.snapshot_min = max(1, int(snapshot_min))
         self.idmap = idmap
         self.reused_subtrees = 0
@@ -352,11 +354,9 @@ class _OnlineRunner(_Runner):
             self.brute_force(ids)
             return PartitionNode(indices=ids)
         sub = self.points[ids]
-        keys = self.keys[ids]
-        node_key = _fold_keys(keys)
         try:
             with self.machine.section("divide"):
-                separator, attempts = self._find_stable_separator(sub, keys)
+                separator, attempts, side = self._find_stable_separator(sub, ids)
             self.stats.separator_attempts += attempts
             if span is not None:
                 span.attrs["separator_attempts"] = attempts
@@ -366,7 +366,6 @@ class _OnlineRunner(_Runner):
                 span.attrs["punted"] = True
             self.brute_force(ids)
             return PartitionNode(indices=ids)
-        side = separator.side_of_points(sub)
         self.machine.charge(self.machine.ewise_cost(m, 2.0))
         self.machine.charge(self.machine.scan_cost(m).then(self.machine.permute_cost(m)))
         in_ids = ids[side < 0]
@@ -383,7 +382,9 @@ class _OnlineRunner(_Runner):
             indices=ids, separator=separator, left=children[0], right=children[1]
         )
         with self.machine.section("correct"):
-            self.correct(node, in_ids, ex_ids, self._correct_rng(node_key))
+            self.correct(
+                node, in_ids, ex_ids, functools.cache(lambda: self._correct_rng(ids))
+            )
         if span is not None:
             span.attrs["iota"] = node.meta.get("iota", 0)
             span.attrs["punted"] = node.meta.get("punted", False)
@@ -391,15 +392,31 @@ class _OnlineRunner(_Runner):
 
     # -- content-addressed randomness --------------------------------------
 
-    def _correct_rng(self, node_key: int) -> np.random.Generator:
+    def _correct_rng(self, ids: np.ndarray) -> np.random.Generator:
         """Generator for the correction punt path, seeded by subset content."""
+        node_key = _fold_keys(self.keys[ids])
         return np.random.default_rng(
             np.random.SeedSequence(entropy=(self.salt, node_key, 0xC0DE))
         )
 
+    def _salted_keys(self, refresh_round: int) -> np.ndarray:
+        """Every point's rendezvous key for one sample-refresh round.
+
+        A pure function of the point keys, the salt and the round, so it
+        is hashed once per runner rather than once per node.
+        """
+        keys = self._round_keys.get(refresh_round)
+        if keys is None:
+            round_salt = np.uint64(
+                (refresh_round * 0x9E3779B97F4A7C15 ^ self.salt) & 0xFFFFFFFFFFFFFFFF
+            )
+            keys = _mix64(self.keys ^ _mix64(round_salt))
+            self._round_keys[refresh_round] = keys
+        return keys
+
     def _find_stable_separator(
-        self, sub: np.ndarray, keys: np.ndarray
-    ) -> Tuple[object, int]:
+        self, sub: np.ndarray, ids: np.ndarray
+    ) -> Tuple[object, int, np.ndarray]:
         """The unit-time retry loop with value-stable candidate derivation.
 
         Candidates are drawn from a sampler over the node's *rendezvous
@@ -414,7 +431,8 @@ class _OnlineRunner(_Runner):
         with a re-salted sample every ``refresh_every`` failures; keeping
         the sample fixed across attempts minimises the membership surface
         that mutations can perturb.  Cost accounting per attempt is
-        identical to :meth:`UnitTimeSeparator.attempt`.
+        identical to :meth:`UnitTimeSeparator.attempt`.  Returns
+        ``(separator, attempts, side)`` with the accepted side vector.
         """
         m, d = sub.shape
         target = default_delta(d, self.config.epsilon)
@@ -429,11 +447,7 @@ class _OnlineRunner(_Runner):
         with machine.span("separator.search", n=int(m), d=d) as span:
             for attempt in range(1, self.config.max_attempts + 1):
                 if sampler is None:
-                    round_salt = np.uint64(
-                        (((attempt - 1) // refresh_every) * 0x9E3779B97F4A7C15 ^ self.salt)
-                        & 0xFFFFFFFFFFFFFFFF
-                    )
-                    akeys = _mix64(keys ^ _mix64(round_salt))
+                    akeys = self._salted_keys((attempt - 1) // refresh_every)[ids]
                     if size < m:
                         sel = np.argpartition(akeys, size - 1)[:size]
                         sel.sort()
@@ -459,10 +473,11 @@ class _OnlineRunner(_Runner):
                 except RuntimeError:
                     machine.bump("separator_draw_failures")
                     continue
-                if is_good_point_split(candidate, sub, target):
+                side = candidate.side_of_points(sub)
+                if side_split_is_good(side, target):
                     if span is not None:
                         span.attrs["attempts"] = attempt
-                    return candidate, attempt
+                    return candidate, attempt, side
                 if attempt % refresh_every == 0:
                     sampler = None
             if span is not None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .radon import radon_point, radon_points_batch
+from .radon import radon_points_batch
 
 __all__ = [
     "iterated_radon_centerpoint",
@@ -48,43 +48,17 @@ def iterated_radon_centerpoint(
     """Approximate centerpoint by iterated Radon points.
 
     Each round shuffles the current multiset and replaces every full group
-    of ``m + 2`` points with its Radon point; leftovers pass through.  When
-    fewer than ``m + 2`` points remain the mean of the survivors is
-    returned.  ``rounds`` caps the number of rounds (default: run to one
-    point — O(log n) rounds).
+    of ``m + 2`` points with its Radon point (the group mean when the group
+    is degenerate); leftovers pass through.  When fewer than ``m + 2``
+    points remain the mean of the survivors is returned.  ``rounds`` caps
+    the number of rounds (default: run to one point — O(log n) rounds).
 
     The returned point has expected Tukey depth Omega(n / (m + 1)^2) even
     without repetition; tests check measured depth >= n/(m+2) with slack on
-    the workloads we use.
+    the workloads we use.  The one-set case of
+    :func:`iterated_radon_centerpoint_many`.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValueError("points must be (n, m)")
-    n, m = pts.shape
-    if n == 0:
-        raise ValueError("cannot take a centerpoint of zero points")
-    group = m + 2
-    if n < group:
-        return pts.mean(axis=0)
-    current = pts
-    done_rounds = 0
-    while current.shape[0] >= group and (rounds is None or done_rounds < rounds):
-        k = current.shape[0]
-        perm = rng.permutation(k)
-        usable = (k // group) * group
-        grouped = current[perm[:usable]].reshape(-1, group, m)
-        replaced = np.empty((grouped.shape[0], m), dtype=np.float64)
-        for i, g in enumerate(grouped):
-            try:
-                replaced[i] = radon_point(g)
-            except np.linalg.LinAlgError:
-                replaced[i] = g.mean(axis=0)
-        leftovers = current[perm[usable:]]
-        current = np.concatenate([replaced, leftovers], axis=0)
-        done_rounds += 1
-        if current.shape[0] == 1:
-            break
-    return current.mean(axis=0)
+    return iterated_radon_centerpoint_many([points], [rng], rounds=rounds)[0]
 
 
 def iterated_radon_centerpoint_many(
@@ -96,13 +70,12 @@ def iterated_radon_centerpoint_many(
     """Iterated-Radon centerpoints of many point sets, with the per-group
     Radon SVDs of every active set batched into one LAPACK call per round.
 
-    Bit-for-bit equivalent to ``[iterated_radon_centerpoint(p, rng) for
-    p, rng in zip(point_sets, rngs)]``: each set draws the same
-    permutations from its own generator, forms the same groups, and hits
-    the same degenerate fallbacks; only the SVD solves are stacked across
-    sets (see :func:`repro.geometry.radon.radon_points_batch`).  This is
-    the frontier engine's batched replacement for the per-node centerpoint
-    loop — the hot path of separator construction.
+    Set ``i`` draws its permutations from ``rngs[i]`` alone, so its result
+    does not depend on which other sets share the batch; the stacked
+    solves of :func:`repro.geometry.radon.radon_points_batch` are bitwise
+    equal to per-group :func:`~repro.geometry.radon.radon_point` calls
+    with the mean fallback on degenerate groups.  This is the separator
+    search's centerpoint step, batched across the frontier's nodes.
     """
     if len(point_sets) != len(rngs):
         raise ValueError("need exactly one rng per point set")
@@ -116,7 +89,7 @@ def iterated_radon_centerpoint_many(
         n, m = pts.shape
         if n == 0:
             raise ValueError("cannot take a centerpoint of zero points")
-        if n < m + 2:
+        if n < m + 2 or (rounds is not None and rounds <= 0):
             results[i] = pts.mean(axis=0)
         else:
             current[i] = pts
@@ -148,10 +121,8 @@ def iterated_radon_centerpoint_many(
             cur = np.concatenate([rep, leftovers], axis=0)
             done_rounds[i] += 1
             group = grouped.shape[1]
-            finished = (
-                cur.shape[0] == 1
-                or cur.shape[0] < group
-                or (rounds is not None and done_rounds[i] >= rounds)
+            finished = cur.shape[0] < group or (
+                rounds is not None and done_rounds[i] >= rounds
             )
             if finished:
                 results[i] = cur.mean(axis=0)

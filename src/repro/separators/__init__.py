@@ -16,8 +16,14 @@ from .quality import (
     default_delta,
     is_good_point_split,
     point_split,
+    side_split_is_good,
 )
-from .unit_time import SeparatorFailure, UnitTimeSeparator, find_good_separator
+from .unit_time import (
+    SeparatorFailure,
+    UnitTimeSeparator,
+    find_good_separator,
+    find_good_separator_side,
+)
 
 __all__ = [
     "random_great_circle",
@@ -32,7 +38,9 @@ __all__ = [
     "default_delta",
     "is_good_point_split",
     "point_split",
+    "side_split_is_good",
     "SeparatorFailure",
     "UnitTimeSeparator",
     "find_good_separator",
+    "find_good_separator_side",
 ]

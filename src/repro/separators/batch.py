@@ -13,8 +13,6 @@ is reorganised into cross-segment batches:
   spheres (the common case), falling back to per-segment evaluation for
   hyperplane candidates, whose BLAS matrix–vector product is not
   guaranteed bit-stable under batching.
-- :func:`side_split_is_good` applies the recursion's acceptance test to a
-  precomputed side vector.
 
 Everything here is bit-for-bit equivalent to the per-node code paths in
 :mod:`repro.separators.mttv` / :mod:`repro.separators.quality`: each
@@ -33,7 +31,7 @@ from ..geometry.points import as_points
 from ..geometry.spheres import Hyperplane, Sphere
 from .mttv import MTTVSeparatorSampler, default_sample_size, sampled_lift
 
-__all__ = ["prepare_samplers", "batched_side_of_points", "side_split_is_good"]
+__all__ = ["prepare_samplers", "batched_side_of_points"]
 
 SeparatorLike = Union[Sphere, Hyperplane]
 
@@ -108,16 +106,3 @@ def batched_side_of_points(
         for j, i in enumerate(sphere_pos):
             sides[i] = side_flat[bounds[j] : bounds[j + 1]]
     return sides  # type: ignore[return-value]
-
-
-def side_split_is_good(side: np.ndarray, delta: float) -> bool:
-    """The acceptance test of :func:`~repro.separators.quality.is_good_point_split`,
-    applied to an already-computed side vector."""
-    n = side.shape[0]
-    if n < 2:
-        return False
-    interior = int(np.count_nonzero(side < 0))
-    exterior = n - interior
-    if interior == 0 or exterior == 0:
-        return False
-    return max(interior, exterior) / n <= delta

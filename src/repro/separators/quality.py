@@ -18,7 +18,14 @@ import numpy as np
 from ..geometry.balls import BallSystem
 from ..geometry.spheres import Hyperplane, SideCounts, Sphere
 
-__all__ = ["SeparatorReport", "point_split", "ball_split", "is_good_point_split", "default_delta"]
+__all__ = [
+    "SeparatorReport",
+    "point_split",
+    "ball_split",
+    "is_good_point_split",
+    "side_split_is_good",
+    "default_delta",
+]
 
 SeparatorLike = Union[Sphere, Hyperplane]
 
@@ -72,9 +79,17 @@ def ball_split(separator: SeparatorLike, balls: BallSystem) -> SeparatorReport:
 
 def is_good_point_split(separator: SeparatorLike, points: np.ndarray, delta: float) -> bool:
     """The recursion's acceptance test: both sides nonempty, ratio <= delta."""
-    rep = point_split(separator, points)
-    if rep.n_points < 2:
+    return side_split_is_good(separator.side_of_points(points), delta)
+
+
+def side_split_is_good(side: np.ndarray, delta: float) -> bool:
+    """:func:`is_good_point_split` applied to an already-computed side
+    vector, so the accepted split can be reused by the divide step."""
+    n = side.shape[0]
+    if n < 2:
         return False
-    if rep.interior_points == 0 or rep.exterior_points == 0:
+    interior = int(np.count_nonzero(side < 0))
+    exterior = n - interior
+    if interior == 0 or exterior == 0:
         return False
-    return rep.split_ratio <= delta
+    return max(interior, exterior) / n <= delta

@@ -33,9 +33,14 @@ from ..geometry.spheres import Hyperplane, Sphere
 from ..pvm.machine import Machine
 from ..util.rng import as_generator
 from .mttv import MTTVSeparatorSampler, default_sample_size
-from .quality import default_delta, is_good_point_split
+from .quality import default_delta, side_split_is_good
 
-__all__ = ["SeparatorFailure", "UnitTimeSeparator", "find_good_separator"]
+__all__ = [
+    "SeparatorFailure",
+    "UnitTimeSeparator",
+    "find_good_separator",
+    "find_good_separator_side",
+]
 
 SeparatorLike = Union[Sphere, Hyperplane]
 
@@ -109,6 +114,35 @@ def find_good_separator(
     after ``max_attempts`` failures (e.g. heavily duplicated inputs where
     no sphere can split the multiset).
     """
+    separator, attempts, _ = find_good_separator_side(
+        points,
+        machine,
+        seed,
+        delta=delta,
+        epsilon=epsilon,
+        max_attempts=max_attempts,
+        refresh_every=refresh_every,
+        sample_size=sample_size,
+        centerpoint=centerpoint,
+    )
+    return separator, attempts
+
+
+def find_good_separator_side(
+    points: np.ndarray,
+    machine: Machine,
+    seed: object = None,
+    *,
+    delta: Optional[float] = None,
+    epsilon: float = 0.05,
+    max_attempts: int = 64,
+    refresh_every: int = 16,
+    sample_size: Optional[int] = None,
+    centerpoint: str = "radon",
+) -> Tuple[SeparatorLike, int, np.ndarray]:
+    """:func:`find_good_separator` that also returns the accepted side
+    vector, ``(separator, attempts, side)`` — the divide step's split
+    without a second classification pass."""
     pts = as_points(points, min_points=2)
     d = pts.shape[1]
     target = default_delta(d, epsilon) if delta is None else float(delta)
@@ -120,10 +154,11 @@ def find_good_separator(
             except RuntimeError:
                 machine.bump("separator_draw_failures")
                 continue
-            if is_good_point_split(candidate, pts, target):
+            side = candidate.side_of_points(pts)
+            if side_split_is_good(side, target):
                 if span is not None:
                     span.attrs["attempts"] = attempt
-                return candidate, attempt
+                return candidate, attempt, side
             if attempt % refresh_every == 0:
                 unit.refresh()
         if span is not None:

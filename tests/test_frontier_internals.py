@@ -1,12 +1,16 @@
-"""Building blocks of the frontier engine, tested against their
-per-node reference implementations.
+"""Building blocks of the frontier engine, tested against sequential
+oracles.
 
-The frontier engine's equivalence contract (see
+The engines' equivalence contract (see
 ``tests/test_engine_equivalence.py``) rests on a handful of batched
-kernels each being *bitwise* identical to the sequential code path it
-replaces.  These tests pin that property kernel by kernel, plus the
-recursion-limit guard and the iterative (deep-tree safe) partition-tree
-traversals that the degenerate-workload regression relies on.
+kernels each being *bitwise* identical to the obvious sequential
+computation.  Every engine now calls the batched kernels, so the
+sequential references live here, in the tests: a per-owner
+``merge_neighbor_lists`` loop for the candidate merge and a per-group
+``radon_point`` loop (mean fallback) for the iterated centerpoint.  The
+module also pins the recursion-limit guard and the iterative (deep-tree
+safe) partition-tree traversals that the degenerate-workload regression
+relies on.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import pytest
 
 from repro.core.correction import apply_candidate_pairs, apply_candidate_pairs_batch
 from repro.core.fast_dnc import FastDnCConfig, parallel_nearest_neighborhood
+from repro.core.neighborhood import merge_neighbor_lists
 from repro.core.partition_tree import PartitionNode
 from repro.geometry.radon import radon_point, radon_points_batch
 from repro.geometry.centerpoints import (
@@ -27,15 +32,61 @@ from repro.geometry.centerpoints import (
 from repro.geometry.spheres import Sphere
 from repro.pvm import Machine
 from repro.pvm.primitives import segmented_pack, segmented_reduce, segmented_split
-from repro.separators.batch import (
-    batched_side_of_points,
-    prepare_samplers,
+from repro.separators.batch import batched_side_of_points, prepare_samplers
+from repro.separators.mttv import MTTVSeparatorSampler, default_sample_size
+from repro.separators.quality import (
+    default_delta,
+    is_good_point_split,
+    point_split,
     side_split_is_good,
 )
-from repro.separators.mttv import MTTVSeparatorSampler, default_sample_size
-from repro.separators.quality import default_delta, is_good_point_split
 from repro.util.recursion import FRAMES_PER_LEVEL, estimated_tree_levels, recursion_guard
 from repro.workloads import collinear, uniform_cube, with_duplicates
+
+
+# ---------------------------------------------------------------------------
+# sequential oracles
+# ---------------------------------------------------------------------------
+
+
+def _apply_oracle(points, nbr_idx, nbr_sq, owners, cands, k):
+    """Per-owner merge: each owner's list re-taken as the k best of (list
+    ∪ candidates) by one :func:`merge_neighbor_lists` call; self-pairs
+    dropped.  Returns how many owners' lists changed."""
+    changed = 0
+    for g in np.unique(owners):
+        mine = cands[(owners == g) & (cands != g)]
+        if mine.shape[0] == 0:
+            continue
+        diff = points[mine].astype(np.float64) - points[g].astype(np.float64)
+        new_idx, new_sq = merge_neighbor_lists(
+            nbr_idx[g], nbr_sq[g], mine, np.einsum("ij,ij->i", diff, diff), k
+        )
+        if not (np.array_equal(new_idx, nbr_idx[g]) and np.array_equal(new_sq, nbr_sq[g])):
+            changed += 1
+        nbr_idx[g], nbr_sq[g] = new_idx, new_sq
+    return changed
+
+
+def _centerpoint_oracle(points, rng, rounds=None):
+    """Iterated Radon points, one :func:`radon_point` call per group with
+    the group mean on a degenerate partition."""
+    current = np.asarray(points, dtype=np.float64)
+    m = current.shape[1]
+    group = m + 2
+    done = 0
+    while current.shape[0] >= group and (rounds is None or done < rounds):
+        perm = rng.permutation(current.shape[0])
+        usable = (current.shape[0] // group) * group
+        replaced = []
+        for g in current[perm[:usable]].reshape(-1, group, m):
+            try:
+                replaced.append(radon_point(g))
+            except np.linalg.LinAlgError:
+                replaced.append(g.mean(axis=0))
+        current = np.concatenate([np.array(replaced), current[perm[usable:]]])
+        done += 1
+    return current.mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +183,64 @@ class TestBatchedGeometry:
             uniform_cube(45, 3, seed=6),
             uniform_cube(23, 2, seed=7),
             np.ones((20, 3)),  # fully degenerate set
+            uniform_cube(3, 2, seed=8),  # below one group: plain mean
         ]
         many = iterated_radon_centerpoint_many(
             sets, [np.random.default_rng(100 + i) for i in range(len(sets))]
         )
         for i, pts in enumerate(sets):
+            want = _centerpoint_oracle(pts, np.random.default_rng(100 + i))
+            np.testing.assert_array_equal(many[i], want)
             one = iterated_radon_centerpoint(pts, np.random.default_rng(100 + i))
-            np.testing.assert_array_equal(many[i], one)
+            np.testing.assert_array_equal(one, want)
+
+    def test_centerpoint_degenerate_groups(self):
+        # points on a line in R^3 (and repeated points): every group of 5
+        # is affinely degenerate, its null space has dimension > 1, and
+        # the stacked SVD must pick the same null vector as a single one
+        t = np.random.default_rng(12).normal(size=(40, 1))
+        sets = [
+            collinear(40, 3, seed=12),
+            np.hstack([t, 2.0 * t, -t]),
+            np.repeat(uniform_cube(4, 3, seed=13), 10, axis=0),
+            uniform_cube(30, 3, seed=13),
+        ]
+        many = iterated_radon_centerpoint_many(
+            sets, [np.random.default_rng(300 + i) for i in range(len(sets))]
+        )
+        for i, pts in enumerate(sets):
+            want = _centerpoint_oracle(pts, np.random.default_rng(300 + i))
+            np.testing.assert_array_equal(many[i], want)
+            np.testing.assert_array_equal(
+                iterated_radon_centerpoint(pts, np.random.default_rng(300 + i)), want
+            )
+
+    @pytest.mark.parametrize("rounds", [0, 1, 2, 50])
+    def test_centerpoint_rounds_cap(self, rounds):
+        sets = [uniform_cube(200, 2, seed=14), uniform_cube(90, 3, seed=15)]
+        many = iterated_radon_centerpoint_many(
+            sets,
+            [np.random.default_rng(400 + i) for i in range(len(sets))],
+            rounds=rounds,
+        )
+        for i, pts in enumerate(sets):
+            want = _centerpoint_oracle(pts, np.random.default_rng(400 + i), rounds)
+            np.testing.assert_array_equal(many[i], want)
+            np.testing.assert_array_equal(
+                iterated_radon_centerpoint(
+                    pts, np.random.default_rng(400 + i), rounds=rounds
+                ),
+                want,
+            )
+        if rounds == 0:
+            np.testing.assert_array_equal(many[0], sets[0].mean(axis=0))
+
+    def test_centerpoint_float32_points(self):
+        pts = uniform_cube(70, 2, seed=16).astype(np.float32)
+        got = iterated_radon_centerpoint(pts, np.random.default_rng(17))
+        assert got.dtype == np.float64
+        want = _centerpoint_oracle(pts, np.random.default_rng(17))
+        np.testing.assert_array_equal(got, want)
 
     def test_prepare_samplers_matches_direct_construction(self):
         sets = [uniform_cube(80, 2, seed=8), uniform_cube(120, 2, seed=9)]
@@ -179,9 +281,14 @@ class TestBatchedGeometry:
             sphere = Sphere(center=pts.mean(axis=0), radius=float(np.median(
                 np.linalg.norm(pts - pts.mean(axis=0), axis=1))) or 1.0)
             side = sphere.side_of_points(pts)
-            assert side_split_is_good(side, delta) == is_good_point_split(
-                sphere, pts, delta
+            rep = point_split(sphere, pts)
+            want = (
+                rep.interior_points > 0
+                and rep.exterior_points > 0
+                and rep.split_ratio <= delta
             )
+            assert side_split_is_good(side, delta) == want
+            assert is_good_point_split(sphere, pts, delta) == want
         assert not side_split_is_good(np.array([1], dtype=np.int8), delta)
         assert not side_split_is_good(np.array([1, 1], dtype=np.int8), delta)
 
@@ -191,34 +298,93 @@ class TestBatchedGeometry:
 # ---------------------------------------------------------------------------
 
 
+def _partial_lists(rng, points, k):
+    """Neighbor lists holding 0..k true-distance entries, ``-1``-padded."""
+    n = points.shape[0]
+    idx = np.full((n, k), -1, dtype=np.int64)
+    sq = np.full((n, k), np.inf)
+    for i in range(n):
+        fill = rng.integers(0, k + 1)
+        others = rng.choice(np.delete(np.arange(n), i), size=fill, replace=False)
+        diff = points[others].astype(np.float64) - points[i].astype(np.float64)
+        d = np.einsum("ij,ij->i", diff, diff)
+        order = np.lexsort((others, d))
+        idx[i, :fill] = others[order]
+        sq[i, :fill] = d[order]
+    return idx, sq
+
+
 class TestApplyCandidatePairsBatch:
+    def _check(self, points, idx, sq, owners, cands, k):
+        want_idx, want_sq = idx.copy(), sq.copy()
+        want_changed = _apply_oracle(points, want_idx, want_sq, owners, cands, k)
+        got_idx, got_sq = idx.copy(), sq.copy()
+        changed = apply_candidate_pairs_batch(points, got_idx, got_sq, owners, cands, k)
+        np.testing.assert_array_equal(got_idx, want_idx)
+        np.testing.assert_array_equal(got_sq, want_sq)
+        assert changed == want_changed
+        # the per-node entry point: owner rows gathered through ball rows
+        owner_ids, ball_rows = np.unique(owners, return_inverse=True)
+        got_idx, got_sq = idx.copy(), sq.copy()
+        changed = apply_candidate_pairs(
+            points, got_idx, got_sq, owner_ids, ball_rows, cands, k
+        )
+        np.testing.assert_array_equal(got_idx, want_idx)
+        np.testing.assert_array_equal(got_sq, want_sq)
+        assert changed == want_changed
+        return want_idx, want_sq, want_changed
+
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_matches_sequential_apply(self, k):
         rng = np.random.default_rng(12)
         n = 120
         points = rng.normal(size=(n, 2))
-        # start from partially-filled lists with sentinel slots
-        idx_a = np.full((n, k), -1, dtype=np.int64)
-        sq_a = np.full((n, k), np.inf)
-        for i in range(n):
-            fill = rng.integers(0, k + 1)
-            others = rng.choice(np.delete(np.arange(n), i), size=fill, replace=False)
-            d = np.sum((points[others] - points[i]) ** 2, axis=1)
-            order = np.argsort(d, kind="stable")
-            idx_a[i, :fill] = others[order]
-            sq_a[i, :fill] = d[order]
-        idx_b, sq_b = idx_a.copy(), sq_a.copy()
-
+        idx, sq = _partial_lists(rng, points, k)
         pairs = 400
         owners = rng.integers(0, n, size=pairs)
         cands = rng.integers(0, n, size=pairs)
-        changed_seq = apply_candidate_pairs(
-            points, idx_a, sq_a, np.arange(n), owners, cands, k
+        self._check(points, idx, sq, owners, cands, k)
+
+    def test_float32_points(self):
+        rng = np.random.default_rng(18)
+        n, k = 90, 3
+        points = (rng.normal(size=(n, 3)) * 1e3).astype(np.float32)
+        idx, sq = _partial_lists(rng, points, k)
+        owners = rng.integers(0, n, size=300)
+        cands = rng.integers(0, n, size=300)
+        self._check(points, idx, sq, owners, cands, k)
+
+    def test_owners_with_only_padding(self):
+        rng = np.random.default_rng(19)
+        n, k = 40, 3
+        points = rng.normal(size=(n, 2))
+        idx, sq = _partial_lists(rng, points, k)
+        empty = np.array([3, 7, 11])
+        idx[empty] = -1
+        sq[empty] = np.inf
+        owners = np.concatenate([np.repeat(empty, 5), rng.integers(0, n, size=30)])
+        cands = rng.integers(0, n, size=owners.shape[0])
+        got_idx, _, _ = self._check(points, idx, sq, owners, cands, k)
+        assert np.all(got_idx[empty, 0] >= 0)
+
+    def test_same_pair_from_two_ball_rows(self):
+        points = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
+        idx = np.array([[1, -1], [2, -1], [0, -1], [1, -1]])
+        sq = np.array([[4.0, np.inf], [1.0, np.inf], [1.0, np.inf], [9.0, np.inf]])
+        # ball rows 0 and 1 are both owned by point 0 and both reach point 2
+        owner_ids = np.array([0, 0, 3])
+        ball_rows = np.array([0, 1, 1, 2])
+        cands = np.array([2, 2, 3, 2])
+        want_idx, want_sq = idx.copy(), sq.copy()
+        want_changed = _apply_oracle(
+            points, want_idx, want_sq, owner_ids[ball_rows], cands, 2
         )
-        changed_bat = apply_candidate_pairs_batch(points, idx_b, sq_b, owners, cands, k)
-        np.testing.assert_array_equal(idx_a, idx_b)
-        np.testing.assert_array_equal(sq_a, sq_b)
-        assert changed_seq == changed_bat
+        changed = apply_candidate_pairs(points, idx, sq, owner_ids, ball_rows, cands, 2)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(sq, want_sq)
+        assert changed == want_changed == 2
+        np.testing.assert_array_equal(idx[0], [2, 1])
+        np.testing.assert_array_equal(sq[0], [1.0, 4.0])
 
     def test_empty_and_self_pairs(self):
         points = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -232,6 +398,17 @@ class TestApplyCandidatePairsBatch:
             points, idx, sq, np.array([0, 1]), np.array([0, 1]), 1
         ) == 0
         assert np.all(idx == -1)
+
+    def test_stale_distance_refreshed_counts_as_change(self):
+        # same id, smaller distance: the ids stay, the list still changed
+        points = np.array([[0.0, 0.0], [1.0, 0.0]])
+        idx = np.array([[1], [0]])
+        sq = np.array([[4.0], [1.0]])
+        want_idx, want_sq = idx.copy(), sq.copy()
+        assert _apply_oracle(points, want_idx, want_sq, np.array([0]), np.array([1]), 1) == 1
+        assert apply_candidate_pairs_batch(points, idx, sq, np.array([0]), np.array([1]), 1) == 1
+        np.testing.assert_array_equal(sq, want_sq)
+        assert sq[0, 0] == 1.0
 
     def test_duplicate_candidates_keep_min_distance(self):
         points = np.array([[0.0, 0.0], [3.0, 0.0], [1.0, 0.0]])

@@ -22,7 +22,8 @@ from repro.core.online import (
     online_sample_size,
     tree_signature,
 )
-from repro.workloads import uniform_cube
+from repro.core.fast_dnc import FastDnCConfig
+from repro.workloads import clustered, uniform_cube
 
 
 def _assert_equivalent(index: MutableIndex) -> None:
@@ -274,6 +275,22 @@ class TestOnlineProfile:
         assert online_sample_size(2) == 16
         assert online_sample_size(3) == 25
         assert online_sample_size(1) == 9
+
+    @pytest.mark.parametrize(
+        "config, punts, work",
+        [
+            (FastDnCConfig(iota_factor=0.3), "punts_iota", 587439.0),
+            (FastDnCConfig(active_factor=0.05), "punts_marching", 608031.0),
+        ],
+    )
+    def test_punt_randomness_pinned(self, config, punts, work):
+        # a node's punts share one content-seeded generator, drawn on in
+        # order; equivalence_report cannot see a change to that stream
+        # (the fresh build changes with it), the exact ledger can
+        pts = clustered(3000, 3, seed=np.random.default_rng(9))
+        index = repro.build_index(pts, 2, seed=4, config=config)
+        assert getattr(index.mutable.stats, punts) > 0
+        assert index.cost.work == work
 
     def test_commit_info_fields(self):
         info = CommitInfo(version=3, n=100, inserted=2, deleted=1,

@@ -7,6 +7,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import os
+import re
 
 import pytest
 
@@ -42,6 +43,17 @@ class TestExports:
 
     def test_version(self):
         assert repro.__version__
+
+    def test_version_matches_pyproject(self):
+        # a regex, not tomllib: tomllib is not in Python 3.10's stdlib
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+            text = fh.read()
+        project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
+        assert project is not None, "pyproject.toml has no [project] table"
+        version = re.search(r'^version\s*=\s*"([^"]+)"', project.group(1), re.M)
+        assert version is not None, "[project] has no version"
+        assert repro.__version__ == version.group(1)
 
     def test_key_symbols_at_expected_paths(self):
         # the documented entry points of README's quickstart

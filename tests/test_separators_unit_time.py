@@ -8,7 +8,12 @@ import pytest
 from repro.geometry.spheres import Sphere
 from repro.pvm.machine import Machine
 from repro.separators.quality import is_good_point_split, default_delta
-from repro.separators.unit_time import SeparatorFailure, UnitTimeSeparator, find_good_separator
+from repro.separators.unit_time import (
+    SeparatorFailure,
+    UnitTimeSeparator,
+    find_good_separator,
+    find_good_separator_side,
+)
 from repro.workloads import clustered, uniform_cube
 
 
@@ -87,6 +92,17 @@ class TestFindGoodSeparator:
         m = Machine()
         sep, _ = find_good_separator(pts, m, seed=14, delta=0.7)
         assert is_good_point_split(sep, pts, 0.7)
+
+    def test_side_variant_returns_the_accepted_split(self):
+        pts = clustered(600, 3, 8)
+        m1, m2 = Machine(), Machine()
+        sep, attempts, side = find_good_separator_side(pts, m1, seed=21)
+        want_sep, want_attempts = find_good_separator(pts, m2, seed=21)
+        assert attempts == want_attempts
+        assert m1.total == m2.total
+        np.testing.assert_array_equal(side, want_sep.side_of_points(pts))
+        np.testing.assert_array_equal(side, sep.side_of_points(pts))
+        assert is_good_point_split(sep, pts, default_delta(3, 0.05))
 
     def test_counter_bumped(self):
         pts = uniform_cube(300, 2, 15)
